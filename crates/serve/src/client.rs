@@ -103,20 +103,23 @@ impl Client {
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Every request is one small frame followed by a wait for the
+        // reply: Nagle's algorithm would only hold it back.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })
     }
 
     /// Sends one raw line (a newline is appended) without reading a
-    /// response. Exposed for protocol tests.
+    /// response. The line and its newline go out in exactly one write:
+    /// a newline written on its own can wait a delayed-ACK interval
+    /// (~40 ms) behind the line. Exposed for protocol tests.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Reads and parses the next response line.

@@ -247,6 +247,7 @@ impl PeerConn {
             io::Error::new(io::ErrorKind::NotFound, "peer address resolves to nothing")
         })?;
         let stream = TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(PeerConn {

@@ -792,6 +792,10 @@ fn discard_line_remainder(reader: &mut BufReader<TcpStream>, shared: &Shared) ->
 /// Serves one connection until EOF, an unrecoverable framing error, or
 /// daemon shutdown. Requests are answered strictly in order.
 fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io::Result<()> {
+    // Each response line is one write; without this, a short line that
+    // follows an unacknowledged one (a sweep's `done`) waits for the
+    // client's delayed ACK.
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(POLL))?;
     let mut reader = BufReader::new(stream.try_clone()?);

@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use procrustes_core::{Scenario, Sweep};
+use procrustes_core::{Engine, Scenario, Sweep};
 use procrustes_serve::{Client, ClientError, Response, ServeConfig};
 
 fn hostile_config() -> ServeConfig {
@@ -150,6 +150,45 @@ fn oversized_line_is_discarded_with_an_error_and_the_stream_resyncs() {
     match read_line() {
         Response::Status(_) => {}
         other => panic!("expected status after resync, got {}", other.to_json()),
+    }
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn request_split_across_writes_is_reassembled_and_the_connection_survives() {
+    let (addr, server) = common::start(hostile_config());
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        Response::parse_line(line.trim_end()).unwrap()
+    };
+    // The line and its newline in two writes, far enough apart that the
+    // daemon's first read returns the line without its terminator (the
+    // framing older clients and raw sockets still produce).
+    let scenario = Scenario::builder("VGG-S").build().unwrap();
+    let request = format!(r#"{{"op":"eval","scenario":{}}}"#, scenario.to_json());
+    writer.write_all(request.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    writer.write_all(b"\n").unwrap();
+    match read_line() {
+        Response::Result { doc, .. } => {
+            assert_eq!(doc, Engine::default().run(&scenario).unwrap().to_json());
+        }
+        other => panic!("expected a result line, got {}", other.to_json()),
+    }
+    // The same connection serves the next request.
+    writer.write_all(b"{\"op\":\"status\"}\n").unwrap();
+    match read_line() {
+        Response::Status(status) => assert_eq!(status.requests, 2),
+        other => panic!("expected status, got {}", other.to_json()),
     }
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
